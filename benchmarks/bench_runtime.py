@@ -11,8 +11,8 @@ runs where the offline DNN/HMM fit dominates): no store vs cold store
 vs warm store vs process-parallel fits vs warm-started refit, written
 to BENCH_coldpath.json.
 
-``--scale`` instead benchmarks the hyperscale placement engine: a
-sharded availability index over ``--scale-vms`` machines driven by a
+``--scale`` instead benchmarks the hyperscale placement engine: the
+availability matrix over ``--scale-vms`` machines driven by a
 streamed trace at each ``--scale-jobs`` count, written (jobs/sec curve
 plus tracemalloc peaks) to BENCH_scale.json.  The last point must stay
 within 2x of the first point's jobs/sec.
@@ -25,8 +25,8 @@ Usage::
     python benchmarks/bench_runtime.py --out /tmp/bench.json --no-assert
     python benchmarks/bench_runtime.py --cold     # predictor-store bench
     python benchmarks/bench_runtime.py --scale    # 10k VMs, 100k+1M jobs
-    python benchmarks/bench_runtime.py --scale --shards 2 \\
-        --scale-vms 200 --scale-jobs 5000         # CI smoke
+    python benchmarks/bench_runtime.py --scale \\
+        --scale-vms 200 --scale-jobs 2000 5000    # CI smoke
     python benchmarks/bench_runtime.py --quick \\
         --regression-against benchmarks/BENCH_reference_quick.json
 
@@ -69,12 +69,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale", action="store_true",
         help="benchmark the hyperscale placement engine instead: "
-             "sharded index + streamed trace, jobs/sec per job count; "
-             "writes BENCH_scale.json",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=8, metavar="N",
-        help="availability-index shard count for --scale (default: 8)",
+             "availability matrix + streamed trace, jobs/sec per job "
+             "count; writes BENCH_scale.json",
     )
     parser.add_argument(
         "--scale-vms", type=int, default=10_000, metavar="N",
@@ -137,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
             report = write_scale_benchmark(
                 args.out,
                 n_vms=args.scale_vms,
-                shards=args.shards,
                 chunk_size=args.chunk_size,
                 job_counts=tuple(args.scale_jobs or SCALE_COUNTS),
                 seed=args.seed,

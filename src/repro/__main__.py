@@ -72,6 +72,7 @@ import json
 import sys
 
 from . import __version__, api
+from .cluster.shards import SCALE_DEPRECATION
 from .experiments.report import format_table
 
 FIGURES = (
@@ -153,6 +154,7 @@ def _print_extra_metrics(results: dict) -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    _note_ignored_scale_flags(args)
     jobs = min(args.jobs, 30) if args.quick else args.jobs
     fault_plan = None
     if args.faults is not None:
@@ -177,7 +179,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             predictor_cache=cache,
             predictor=args.predictor,
-            scale=_scale_from_args(args),
         )
     finally:
         if capturing:
@@ -263,6 +264,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
 
+    _note_ignored_scale_flags(args)
     fault_plan = None
     if args.faults is not None:
         fault_plan = api.build_fault_plan(
@@ -293,7 +295,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             fault_plan=fault_plan,
             predictor_cache=cache,
             predictor=args.predictor,
-            scale=_scale_from_args(args),
         ) as svc:
             consumer = asyncio.ensure_future(_consume(svc))
             n = await svc.submit_trace(scenario.evaluation_trace())
@@ -817,31 +818,19 @@ def _add_predictor_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_scale_options(parser: argparse.ArgumentParser) -> None:
-    """The hyperscale flags shared by ``compare`` and ``serve``."""
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition the availability index into N VM-pool shards "
-             "(default: 1; results are identical at any shard count — "
-             "sharding bounds per-slot recompute work on 10k+-VM "
-             "clusters)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="records per chunk for streaming trace generation "
-             "(default: 4096)",
-    )
+    """The deprecated scale flags of ``compare`` and ``serve``.
+
+    Accepted for one release and ignored (see
+    :func:`_note_ignored_scale_flags`); hidden from ``--help``.
+    """
+    for flag in ("--shards", "--chunk-size"):
+        parser.add_argument(flag, type=int, default=None, help=argparse.SUPPRESS)
 
 
-def _scale_from_args(args: argparse.Namespace) -> "api.ScaleConfig | None":
-    """Build the ``scale=`` argument from the CLI flags (None = defaults)."""
-    if args.shards is None and args.chunk_size is None:
-        return None
-    kwargs = {}
-    if args.shards is not None:
-        kwargs["shards"] = args.shards
-    if args.chunk_size is not None:
-        kwargs["chunk_size"] = args.chunk_size
-    return api.ScaleConfig(**kwargs)
+def _note_ignored_scale_flags(args: argparse.Namespace) -> None:
+    """One stderr line when a deprecated scale flag was passed."""
+    if args.shards is not None or args.chunk_size is not None:
+        print(f"note: {SCALE_DEPRECATION}", file=sys.stderr)
 
 
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:

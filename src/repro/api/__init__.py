@@ -12,12 +12,11 @@ keyword-only entry points plus the observability attachments:
   ``"classify"``, ``"ets"``, ``"markov"`` or ``"auto"`` (online
   per-workload selection); :func:`available_predictors` /
   :func:`predictor_summaries` enumerate the registry;
-* ``scale=`` (v1.7, on :func:`run_one` / :func:`compare` /
-  :func:`sweep` / :func:`open_service`) — a typed
-  :class:`~repro.cluster.shards.ScaleConfig` selecting the hyperscale
-  knobs: availability-index shard count, streaming-trace chunk size and
-  index backend; the default single-shard config is byte-identical to
-  pre-sharding output;
+* ``scale=`` (on :func:`run_one` / :func:`compare` / :func:`sweep` /
+  :func:`open_service`) and :class:`ScaleConfig` are deprecated since
+  v1.9: the availability index is a single matrix, so the knobs change
+  nothing.  Passing one emits a :class:`DeprecationWarning` and is
+  otherwise ignored; both are removed in the next release;
 * :func:`build_fault_plan` / :func:`inject` — seeded deterministic
   fault schedules and their attachment to scenarios (``fault_plan=`` on
   the entry points is the shorthand);
@@ -40,6 +39,9 @@ keyword-only entry points plus the observability attachments:
   (correlated spot revocations); :func:`build_revocation_storm` builds
   seeded :class:`RevocationWave` schedules and
   :func:`storm_sweep_scenarios` sweeps their intensity.
+
+Every entry point that takes a ``seed`` rejects anything but a
+non-negative integer with a :class:`ValueError` naming ``seed``.
 
 This facade is the **only supported import surface**: deeper imports
 (``repro.experiments.runner`` and friends) may break without notice

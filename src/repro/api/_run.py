@@ -5,9 +5,10 @@ Internal module — import these through :mod:`repro.api`.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, Sequence
 
-from ..cluster.shards import ScaleConfig
+from ..cluster.shards import ScaleConfig, warn_scale_ignored
 from ..cluster.simulator import SimulationResult
 from ..core.config import CorpConfig
 from ..experiments.runner import (
@@ -44,6 +45,16 @@ __all__ = [
 ]
 
 
+def check_seed(seed: object) -> None:
+    """Reject anything but a non-negative integer ``seed``.
+
+    Every facade entry point taking a seed calls this first, so bad
+    input fails here, naming the argument, instead of deep in NumPy.
+    """
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def attach_sink(sink: Sink | str) -> Sink:
     """Attach an event sink (a :class:`~repro.obs.Sink` or a JSONL path).
 
@@ -69,6 +80,7 @@ def build_scenario(
     revocation waves at intensity 0.5); ``None`` is the paper's plain
     steady-arrival scenario.
     """
+    check_seed(seed)
     builders = {"cluster": cluster_scenario, "ec2": ec2_scenario}
     try:
         builder = builders[testbed]
@@ -101,16 +113,6 @@ def _apply_fault_plan(
     if fault_plan is None:
         return scenario
     return scenario.with_fault_plan(fault_plan)
-
-
-def _apply_scale(scenario: Scenario, scale: ScaleConfig | None) -> Scenario:
-    """Fold an explicit ``scale=`` argument into the scenario.
-
-    ``None`` keeps whatever the scenario's ``sim_config`` already says —
-    the default single-shard config, byte-identical to pre-sharding
-    output.
-    """
-    return scenario.with_scale(scale)
 
 
 def _predictor_name(predictor: "str | Predictor") -> str:
@@ -228,16 +230,16 @@ def run_one(
     ``predictor=`` names the registered forecasting family CORP runs on
     (or passes a prebuilt :class:`~repro.forecast.base.Predictor`
     instance); baselines ignore it.  Unknown names raise
-    :class:`ValueError` listing the registry.  ``scale=`` overrides the
-    scenario's :class:`~repro.cluster.shards.ScaleConfig` (availability-
-    index sharding, streaming chunk size).
+    :class:`ValueError` listing the registry.  ``scale=`` is deprecated
+    and ignored (it warns); it will be removed in the next release.
     """
+    check_seed(seed)
+    warn_scale_ignored(scale)
     if method not in METHOD_ORDER:
         raise ValueError(
             f"unknown method {method!r} (expected one of {METHOD_ORDER})"
         )
     scenario = _apply_fault_plan(scenario, fault_plan)
-    scenario = _apply_scale(scenario, scale)
     with OBS.span("trace:generate"):
         trace = scenario.evaluation_trace()
         history = scenario.history_trace()
@@ -270,20 +272,21 @@ def compare(
 
     Pass either a prebuilt ``scenario`` or the (``jobs``, ``testbed``,
     ``seed``) triple to build one; ``fault_plan=`` replays a fault
-    schedule against every method, ``predictor=`` selects CORP's
-    forecasting family and ``scale=`` sets the hyperscale knobs
-    (availability-index shards, streaming chunk size).  ``workers >= 2`` fans the methods over worker
-    processes — results are bit-identical to serial, and the predictor
-    must then be a registry name (instances are process-local).  With a
+    schedule against every method and ``predictor=`` selects CORP's
+    forecasting family; ``scale=`` is deprecated and ignored (it
+    warns).  ``workers >= 2`` fans the methods over worker processes —
+    results are bit-identical to serial, and the predictor must then
+    be a registry name (instances are process-local).  With a
     path-backed JSONL sink attached, each worker records its events to a
     shard merged (in method order) on join; in-memory sinks and
     profiling cannot cross processes and raise :class:`ValueError`.
     """
+    check_seed(seed)
+    warn_scale_ignored(scale)
     built_here = scenario is None
     if scenario is None:
         scenario = build_scenario(jobs=jobs, testbed=testbed, seed=seed)
     scenario = _apply_fault_plan(scenario, fault_plan)
-    scenario = _apply_scale(scenario, scale)
     methods = tuple(methods)
     _emit_run_meta(
         scenario=scenario,
@@ -337,17 +340,16 @@ def sweep(
     ``fault_plan=`` here applies the same schedule to *every* scenario
     (build per-scenario plans with :func:`inject` for anything finer,
     e.g. a fault-intensity sweep); ``predictor=`` selects CORP's
-    forecasting family and ``scale=`` the hyperscale knobs for every
-    run.  Parallel observability follows
+    forecasting family for every run; ``scale=`` is deprecated and
+    ignored (it warns).  Parallel observability follows
     :func:`compare`'s rules: path-backed JSONL sinks shard per worker
     and merge on join; other recording modes raise :class:`ValueError`
     with ``workers >= 2`` — as does a predictor *instance*, which
     cannot cross process boundaries.
     """
-    scenarios = [
-        _apply_scale(_apply_fault_plan(s, fault_plan), scale)
-        for s in scenarios
-    ]
+    check_seed(seed)
+    warn_scale_ignored(scale)
+    scenarios = [_apply_fault_plan(s, fault_plan) for s in scenarios]
     _require_named_predictor(predictor, workers)
     if isinstance(predictor, Predictor):
         # One shared instance across every run: execute the same

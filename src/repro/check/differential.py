@@ -1,12 +1,13 @@
-"""Reference-vs-vectorized differential execution (the PR 1 oracle as a tool).
+"""Reference-vs-vectorized differential execution.
 
-The vectorized :meth:`~repro.cluster.machine.VirtualMachine.execute_slot`
-was property-tested against the per-placement reference semantics
-(:mod:`repro.cluster._legacy`) on randomized placements.  This module
-generalizes that one-shot test into a runtime tool: snapshot a VM just
-before it executes a slot, re-derive the slot with a *pure* (non-mutating)
-transcription of the reference semantics, and diff the aggregates and
-per-job execution rates against what the vectorized path produced.
+:func:`reference_outcome` is the one transcription of the per-placement
+slot semantics the vectorized
+:meth:`~repro.cluster.machine.VirtualMachine.execute_slot` replaced, as a
+*pure* function of a VM snapshot (:mod:`repro.cluster._legacy` applies
+it for the property tests and the benchmark baseline).  At runtime:
+snapshot a VM before it executes a slot, re-derive the slot, and diff
+the aggregates and per-job execution rates against what the vectorized
+path produced.
 
 Enabled via the ``differential`` rule of
 :class:`~repro.check.rules.InvariantChecker` (``repro check
@@ -86,12 +87,11 @@ def capture_snapshot(vm: "VirtualMachine") -> SlotSnapshot:
 
 
 def reference_outcome(snapshot: SlotSnapshot) -> ReferenceOutcome:
-    """Pure transcription of ``repro.cluster._legacy.legacy_execute_slot``.
+    """The per-placement reference semantics of one slot, computed purely.
 
-    Same placement-by-placement grant arithmetic (primaries first, each
-    capped at ``min(demand, cap)``, scaled back if they collectively
-    exceed capacity; opportunists share the remainder proportionally),
-    but computed from the snapshot without touching any job or VM state.
+    Primaries first, each capped at ``min(demand, cap)`` and scaled back
+    if they collectively exceed capacity; opportunists share the
+    remainder proportionally.  No job or VM state is touched.
     """
     cap_arr = snapshot.capacity
     n = len(snapshot.job_ids)

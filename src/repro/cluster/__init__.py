@@ -5,7 +5,6 @@ Section IV's experiments run on (Clemson Palmetto cluster / Amazon EC2,
 both substituted by :class:`ClusterProfile` instances; see DESIGN.md §2).
 """
 
-from .bandwidth import BandwidthModel
 from .job import Job, JobState
 from .machine import PhysicalMachine, Placement, SlotOutcome, VirtualMachine
 from .metrics import (
@@ -23,7 +22,6 @@ from .simulator import ClusterSimulator, SimulationConfig, SimulationResult
 from .slo import SloSpec, SloTracker
 
 __all__ = [
-    "BandwidthModel",
     "Job",
     "JobState",
     "PhysicalMachine",

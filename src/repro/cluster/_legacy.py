@@ -1,8 +1,9 @@
 """Pre-vectorization reference implementations (benchmark + test oracle).
 
-``legacy_execute_slot`` is the per-placement Python-loop slot execution
-that :meth:`repro.cluster.machine.VirtualMachine.execute_slot` replaced,
-kept verbatim so that
+``legacy_execute_slot`` is the per-placement slot execution that
+:meth:`repro.cluster.machine.VirtualMachine.execute_slot` replaced.  It
+applies :func:`repro.check.differential.reference_outcome` — the one
+transcription of the original grant arithmetic — to the VM, so that
 
 * the property tests can check the vectorized path against the original
   semantics on randomized placements, and
@@ -21,8 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .machine import Placement, SlotOutcome, VirtualMachine
-from .resources import NUM_RESOURCES, ResourceVector
+from ..check.differential import capture_snapshot, reference_outcome
+from .machine import SlotOutcome, VirtualMachine
+from .resources import ResourceVector
 
 __all__ = [
     "legacy_execute_slot",
@@ -39,66 +41,23 @@ __all__ = [
 
 
 def legacy_execute_slot(vm: VirtualMachine, slot: int) -> SlotOutcome:
-    """The original per-placement ``execute_slot`` body, unvectorized."""
-    committed = ResourceVector(vm._committed)
-    cap_arr = vm.capacity.as_array()
-    primaries = [p for p in vm.placements if not p.opportunistic]
-    opportunists = [p for p in vm.placements if p.opportunistic]
+    """Apply :func:`repro.check.differential.reference_outcome` to ``vm``.
 
-    # --- primaries ---------------------------------------------------
-    primary_demand = np.zeros(NUM_RESOURCES)
-    primary_granted = np.zeros(NUM_RESOURCES)
-    grants: list[tuple[Placement, ResourceVector]] = []
-    for p in primaries:
-        d = p.job.record.usage_at(
-            min(int(p.job.progress), p.job.record.n_samples - 1)
-        ).as_array()
-        cap = p.effective_cap().as_array()
-        g = np.minimum(d, cap)
-        primary_demand += d
-        grants.append((p, ResourceVector(g)))
-        primary_granted += g
-    # Physical sanity: primaries cannot collectively exceed capacity.
-    over = primary_granted > cap_arr + 1e-9
-    if over.any():
-        scale = np.ones(NUM_RESOURCES)
-        scale[over] = cap_arr[over] / primary_granted[over]
-        grants = [(p, ResourceVector(g.as_array() * scale)) for p, g in grants]
-        primary_granted = np.minimum(primary_granted, cap_arr)
-
-    # --- opportunists -------------------------------------------------
-    remaining = np.maximum(cap_arr - primary_granted, 0.0)
-    opp_demand = np.zeros(NUM_RESOURCES)
-    for p in opportunists:
-        opp_demand += p.job.demand().as_array()
-    if opportunists:
-        scale = np.ones(NUM_RESOURCES)
-        tight = opp_demand > remaining + 1e-12
-        scale[tight] = np.where(
-            opp_demand[tight] > 0, remaining[tight] / opp_demand[tight], 0.0
-        )
-        for p in opportunists:
-            d = p.job.demand().as_array()
-            cap = p.effective_cap().as_array()
-            g = np.minimum(d * scale, cap)
-            grants.append((p, ResourceVector(g)))
-
-    # --- advance ------------------------------------------------------
-    served = np.zeros(NUM_RESOURCES)
-    for p, granted in grants:
-        rate = p.job.compute_rate(granted)
-        served += np.minimum(granted.as_array(), p.job.demand().as_array())
+    Advances each job at its reference rate and appends the VM's two
+    history rows.
+    """
+    snapshot = capture_snapshot(vm)
+    ref = reference_outcome(snapshot)
+    for p, rate in zip(vm.placements, ref.rates):
         p.job.advance(rate, slot)
-
-    unused = (committed - ResourceVector(primary_demand)).clip_nonnegative()
-    vm._unused_history.append(unused.as_array().copy())
-    vm._demand_history.append(primary_demand + opp_demand)
+    vm._unused_history.append(ref.unused)
+    vm._demand_history.append(ref.primary_demand + ref.opportunistic_demand)
     return SlotOutcome(
-        committed=committed,
-        primary_demand=ResourceVector(primary_demand),
-        opportunistic_demand=ResourceVector(opp_demand),
-        served_demand=ResourceVector(served),
-        unused=unused,
+        committed=ResourceVector(snapshot.committed),
+        primary_demand=ResourceVector(ref.primary_demand),
+        opportunistic_demand=ResourceVector(ref.opportunistic_demand),
+        served_demand=ResourceVector(ref.served_demand),
+        unused=ResourceVector(ref.unused),
     )
 
 

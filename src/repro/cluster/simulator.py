@@ -28,7 +28,6 @@ from .metrics import MetricsRecorder
 from .profiles import ClusterProfile
 from .resources import ResourceVector
 from .scheduler import Scheduler
-from .shards import ScaleConfig
 from .slo import SloSpec, SloTracker
 
 __all__ = ["SimulationConfig", "SimulationResult", "ClusterSimulator"]
@@ -48,17 +47,12 @@ class SimulationConfig:
         The response-time SLO specification.
     drain:
         Keep simulating after the last arrival until all jobs finish.
-    scale:
-        Hyperscale knobs (availability-index sharding, streaming chunk
-        size); the default single-shard config reproduces pre-sharding
-        output byte-identically.
     """
 
     slot_duration_s: float = 10.0
     max_slots: int = 20_000
     slo: SloSpec = field(default_factory=SloSpec)
     drain: bool = True
-    scale: ScaleConfig = field(default_factory=ScaleConfig)
 
 
 @dataclass

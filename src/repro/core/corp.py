@@ -37,8 +37,12 @@ from ..trace.records import Trace
 from .config import CorpConfig
 from .packing import JobEntity, pack_jobs, singleton_entities
 from .predictor import CorpPredictor
-from .provisioning import CandidatePool, ProvisioningSchedulerBase
-from .vm_selection import select_most_matched, select_random_feasible
+from .provisioning import ProvisioningSchedulerBase
+from .vm_selection import (
+    CandidateSet,
+    select_most_matched,
+    select_random_feasible,
+)
 
 __all__ = ["CorpScheduler"]
 
@@ -259,16 +263,14 @@ class CorpScheduler(ProvisioningSchedulerBase):
         """Most-matched VM by unused-resource volume (Eq. 22).
 
         On the scheduler's own path ``candidates`` is a
-        :class:`CandidateSet` (or, at ``scale.shards > 1``, the
-        shard-partitioned index with identical selection semantics) and
-        the choice is one matrix expression per shard; plain pair lists
-        fall back to the scalar reference loop.
+        :class:`CandidateSet` and the choice is one matrix expression;
+        plain pair lists fall back to the scalar reference loop.
         """
         if not self.config.use_volume_selection:
-            if isinstance(candidates, CandidatePool):
+            if isinstance(candidates, CandidateSet):
                 return candidates.select_random_feasible(demand, self.rng)
             return select_random_feasible(demand, candidates, self.rng)
-        if isinstance(candidates, CandidatePool):
+        if isinstance(candidates, CandidateSet):
             return candidates.select_most_matched(
                 demand, self.sim.max_vm_capacity()
             )

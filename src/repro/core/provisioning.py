@@ -36,11 +36,6 @@ from .packing import JobEntity, singleton_entities
 from .preemption import PreemptionGate
 from .vm_selection import CandidateSet, select_random_feasible, unused_volume
 
-#: The pool shapes the placement path selects from: the original
-#: single-matrix set or its shard-partitioned hyperscale counterpart
-#: (duck-compatible; see :mod:`repro.cluster.shards`).
-CandidatePool = (CandidateSet, ShardedCandidateIndex)
-
 __all__ = ["ProvisioningSchedulerBase"]
 
 
@@ -104,18 +99,15 @@ class ProvisioningSchedulerBase(Scheduler):
         self._window_jobset: dict[int, frozenset[int]] = {}
         self._window_raw_forecast: dict[int, np.ndarray] = {}
         #: Candidate pools the placement path selects from.  The
-        #: primary pool is a *persistent* sharded availability index
-        #: refreshed in place via VM ``state_version`` dirty tracking;
-        #: the opportunistic pool is per-window forecast state and is
-        #: rebuilt each call (its rows are scheduler bookkeeping, not
-        #: VM state a version counter could mirror).
+        #: primary pool is the ``CandidateSet`` of a *persistent*
+        #: availability index refreshed in place via VM
+        #: ``state_version`` dirty tracking; the opportunistic pool is
+        #: per-window forecast state and is rebuilt each call (its rows
+        #: are scheduler bookkeeping, not VM state a version counter
+        #: could mirror).
         self._primary_index: ShardedCandidateIndex | None = None
-        self._primary_pool: CandidateSet | ShardedCandidateIndex = CandidateSet(
-            [], np.zeros((0, NUM_RESOURCES))
-        )
-        self._opp_pool: CandidateSet | ShardedCandidateIndex = CandidateSet(
-            [], np.zeros((0, NUM_RESOURCES))
-        )
+        self._primary_pool = CandidateSet([], np.zeros((0, NUM_RESOURCES)))
+        self._opp_pool = CandidateSet([], np.zeros((0, NUM_RESOURCES)))
         #: Running (min, sum, count) of realized availability over the
         #: window's valid slots — the realized counterpart the forecast
         #: is scored against (see ``actual_aggregate``).
@@ -157,12 +149,11 @@ class ProvisioningSchedulerBase(Scheduler):
     ) -> VirtualMachine | None:
         """Pick a feasible VM (default: the baselines' uniform random).
 
-        ``candidates`` is a :class:`CandidateSet` (or its sharded
-        counterpart) on the scheduler's own path; overrides that iterate
-        it as ``(vm, availability)`` pairs (the documented shape) keep
-        working unchanged.
+        ``candidates`` is a :class:`CandidateSet` on the scheduler's own
+        path; overrides that iterate it as ``(vm, availability)`` pairs
+        (the documented shape) keep working unchanged.
         """
-        if isinstance(candidates, CandidatePool):
+        if isinstance(candidates, CandidateSet):
             return candidates.select_random_feasible(demand, self.rng)
         return select_random_feasible(demand, candidates, self.rng)
 
@@ -357,13 +348,13 @@ class ProvisioningSchedulerBase(Scheduler):
     def place_jobs(self, pending: Sequence[Job], slot: int) -> list[Job]:
         """Place pending jobs entity by entity; returns those placed.
 
-        The primary pool (unallocated capacity) is a *persistent*
-        :class:`ShardedCandidateIndex` over the cluster's VMs:
+        The primary pool (unallocated capacity) is the ``CandidateSet``
+        of a *persistent* :class:`ShardedCandidateIndex` over the
+        cluster's VMs:
         :meth:`~repro.cluster.shards.ShardedCandidateIndex.refresh`
         re-reads only the rows whose VM ``state_version`` moved since
-        the last call, so a slot that touched two shards recomputes two
-        shards rather than rebuilding an ``(n_vms, l)`` matrix from
-        Python attribute reads.  The opportunistic pool (unlocked
+        the last call rather than rebuilding an ``(n_vms, l)`` matrix
+        from Python attribute reads.  The opportunistic pool (unlocked
         predicted unused) is per-window scheduler bookkeeping and is
         rebuilt each call as before.  Both pools are updated
         incrementally (``consume``) as placements land within the call.
@@ -376,22 +367,12 @@ class ProvisioningSchedulerBase(Scheduler):
             and not self._degraded
             and self.opportunistic_allowed()
         )
-        scale = self.sim.config.scale
         vms = self.sim.vms
         index = self._primary_index
-        if (
-            index is None
-            or index.source_vms is not vms
-            or index.n_shards != scale.shards
-        ):
-            index = self._primary_index = ShardedCandidateIndex.for_vms(
-                vms, shards=scale.shards
-            )
-        touched = index.refresh()
-        if OBS.enabled:
-            OBS.count("shards.touched", touched)
-            OBS.count("shards.skipped", index.n_shards - touched)
-        self._primary_pool = index
+        if index is None or index.source_vms is not vms:
+            index = self._primary_index = ShardedCandidateIndex(vms)
+        index.refresh()
+        self._primary_pool = index.cset
         opp_vms = [
             vm for vm in vms if vm.online and vm.vm_id in self._available_unused
         ]
@@ -400,12 +381,7 @@ class ProvisioningSchedulerBase(Scheduler):
             if opp_vms
             else np.zeros((0, NUM_RESOURCES))
         )
-        if scale.shards > 1:
-            self._opp_pool = ShardedCandidateIndex(
-                opp_vms, opp_matrix, shards=scale.shards
-            )
-        else:
-            self._opp_pool = CandidateSet(opp_vms, opp_matrix)
+        self._opp_pool = CandidateSet(opp_vms, opp_matrix)
         for entity in self.make_entities(pending):
             placed.extend(
                 self._place_entity_units(entity, slot, allow_opportunistic)
@@ -445,7 +421,7 @@ class ProvisioningSchedulerBase(Scheduler):
                     placed.append(job)
         return placed
 
-    def _opportunistic_candidates(self) -> "CandidateSet | ShardedCandidateIndex":
+    def _opportunistic_candidates(self) -> CandidateSet:
         return self._opp_pool
 
     def _try_opportunistic(self, entity: JobEntity, slot: int) -> bool:
@@ -495,7 +471,7 @@ class ProvisioningSchedulerBase(Scheduler):
         """
         feasible = volume = None
         if candidates is not None and demand is not None:
-            if isinstance(candidates, CandidatePool):
+            if isinstance(candidates, CandidateSet):
                 feasible = candidates.feasible_count(demand)
                 chosen = candidates.availability(vm)
             else:

@@ -55,10 +55,12 @@ class CandidateSet:
     The vectorized counterpart of the ``[(vm, ResourceVector), ...]``
     candidate lists: feasibility scans, Eq. 22 volume ranking and the
     baselines' uniform-random choice become single matrix expressions
-    instead of per-VM Python loops.  The schedulers build one set per
-    placement class per ``place_jobs`` call and keep its rows current
-    with :meth:`consume` as placements land, mirroring the incremental
-    ``execute_slot`` vectorization of PR 1.
+    instead of per-VM Python loops.  The schedulers keep one set per
+    placement class current with :meth:`consume` as placements land
+    (the primary set persists across calls inside
+    :class:`~repro.cluster.shards.ShardedCandidateIndex`).  The
+    ``online`` liveness lane is ``None`` while every row is live, else
+    a row mask; offline rows are infeasible, unlisted and unavailable.
 
     Iteration yields ``(vm, ResourceVector)`` pairs — the exact shape
     the scalar reference functions, the invariant checker and custom
@@ -76,7 +78,7 @@ class CandidateSet:
     resolve identically.)
     """
 
-    __slots__ = ("vms", "matrix", "_ids", "_rows")
+    __slots__ = ("vms", "matrix", "online", "_ids", "_rows")
 
     def __init__(
         self, vms: Sequence[VirtualMachine], matrix: np.ndarray
@@ -91,6 +93,7 @@ class CandidateSet:
                 f"{len(self.vms)} VMs x {NUM_RESOURCES} resources"
             )
         self.matrix = matrix.copy()
+        self.online: np.ndarray | None = None
         self._ids = np.array([vm.vm_id for vm in self.vms], dtype=np.int64)
         self._rows = {vm.vm_id: i for i, vm in enumerate(self.vms)}
 
@@ -109,16 +112,20 @@ class CandidateSet:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.vms)
+        if self.online is None:
+            return len(self.vms)
+        return int(self.online.sum())
 
     def __iter__(self) -> Iterator[tuple[VirtualMachine, ResourceVector]]:
+        online = self.online
         for i, vm in enumerate(self.vms):
-            yield vm, ResourceVector(self.matrix[i])
+            if online is None or online[i]:
+                yield vm, ResourceVector(self.matrix[i])
 
     def availability(self, vm: VirtualMachine) -> ResourceVector | None:
-        """Current availability row of ``vm`` (None if not a candidate)."""
+        """Current availability row of ``vm`` (None if absent or offline)."""
         row = self._rows.get(vm.vm_id)
-        if row is None:
+        if row is None or (self.online is not None and not self.online[row]):
             return None
         return ResourceVector(self.matrix[row])
 
@@ -137,8 +144,11 @@ class CandidateSet:
 
     # ------------------------------------------------------------------
     def feasible_mask(self, demand: ResourceVector) -> np.ndarray:
-        """Boolean row mask of candidates the demand fits within."""
-        return (demand.as_array() <= self.matrix + _FIT_ATOL).all(axis=1)
+        """Boolean row mask of live candidates the demand fits within."""
+        mask = (demand.as_array() <= self.matrix + _FIT_ATOL).all(axis=1)
+        if self.online is not None:
+            mask &= self.online
+        return mask
 
     def feasible_count(self, demand: ResourceVector) -> int:
         """How many candidates the demand fits within."""
@@ -165,15 +175,6 @@ class CandidateSet:
         tied = mask & (volumes <= best + tie_window(best))
         (indices,) = np.nonzero(tied)
         return self.vms[indices[np.argmin(self._ids[indices])]]
-
-    def min_feasible_volume(
-        self, demand: ResourceVector, reference: ResourceVector
-    ) -> float | None:
-        """Vectorized :func:`min_feasible_volume` (None if none feasible)."""
-        mask = self.feasible_mask(demand)
-        if not mask.any():
-            return None
-        return float(self.volumes(reference)[mask].min())
 
     def select_random_feasible(
         self, demand: ResourceVector, rng: np.random.Generator

@@ -4,7 +4,7 @@ Measures the full experiment sweep (all four schedulers on both testbed
 profiles) twice on the current machine:
 
 * **baseline** — the pre-optimization behaviour, reproduced live with
-  the verbatim reference implementations from
+  the reference implementations from
   :mod:`repro.cluster._legacy` (per-placement ``execute_slot``, uncached
   ``max_vm_capacity``) and a fresh :class:`PredictorCache` per sweep
   point (the old object-identity cache key meant every point refitted
@@ -39,10 +39,10 @@ from ..cluster.job import Job
 from ..cluster.machine import VirtualMachine
 from ..cluster.profiles import ClusterProfile
 from ..cluster.resources import ResourceVector
-from ..cluster.shards import ShardedCandidateIndex
 from ..cluster.simulator import ClusterSimulator
 from ..core.config import CorpConfig
 from ..core.predictor_store import PredictorStore
+from ..core.vm_selection import CandidateSet
 from ..forecast.padding import AdaptivePadding
 from ..trace.generator import GoogleTraceGenerator, TraceConfig
 from .runner import PredictorCache, run_methods, run_specs, sweep_specs
@@ -451,8 +451,8 @@ SCALE_COUNTS: tuple[int, ...] = (100_000, 1_000_000)
 
 #: The 1M-job point's jobs/sec must stay within 2x of the 100k point's
 #: (``ratio >= 0.5``): per-job placement cost must not grow with the
-#: total job count, i.e. the sharded index and streaming generation are
-#: O(1) in trace length.
+#: total job count, i.e. the availability index and streaming generation
+#: are O(1) in trace length.
 MIN_SCALE_LINEARITY: float = 0.5
 
 
@@ -466,7 +466,6 @@ def _scale_vms(n_vms: int) -> list[VirtualMachine]:
 def run_scale_benchmark(
     *,
     n_vms: int = 10_000,
-    shards: int = 8,
     chunk_size: int = 4096,
     job_counts: Sequence[int] = SCALE_COUNTS,
     seed: int = 7,
@@ -475,14 +474,14 @@ def run_scale_benchmark(
 ) -> dict:
     """Placement-engine throughput at hyperscale: jobs/sec vs job count.
 
-    Drives the sharded availability index directly — a hyperscale VM
-    pool, a static :class:`ShardedCandidateIndex` over its capacity
-    matrix, and a stream of trace demands from
+    Drives the availability matrix directly — a hyperscale VM pool, one
+    :class:`CandidateSet` over its capacity matrix, and a stream of trace demands from
     :meth:`GoogleTraceGenerator.generate_chunks` — so the number
     isolates the Eq. 22 selection + consume/release cycle (the per-slot
     hot path at 10k VMs) from the full simulator's per-slot bookkeeping.
     Each record is placed on its most-matched VM and consumed; once more
-    than ``2 * n_vms`` placements are in flight the oldest is released,
+    than ``2 * n_vms`` placements are in flight the oldest is released
+    (its row grows back by the amount, capped at the VM's capacity),
     modelling short-lived jobs completing at the arrival rate.
 
     The trace is never materialized: chunks of ``chunk_size`` records
@@ -499,13 +498,15 @@ def run_scale_benchmark(
     vms = _scale_vms(n_vms)
     capacity = np.array([vm.capacity.as_array() for vm in vms])
     reference = ResourceVector(capacity.max(axis=0))
+    rows = {vm.vm_id: i for i, vm in enumerate(vms)}
     points: list[dict] = []
     for count in job_counts:
-        index = ShardedCandidateIndex(vms, capacity.copy(), shards=shards)
+        cset = CandidateSet(vms, capacity)
+        matrix = cset.matrix
         generator = GoogleTraceGenerator(
             TraceConfig(n_jobs=int(count), seed=seed)
         )
-        inflight: deque[tuple[VirtualMachine, np.ndarray]] = deque()
+        inflight: deque[tuple[int, np.ndarray]] = deque()
         placed = rejected = 0
         peak_mem_mb = None
         if track_memory:
@@ -514,17 +515,19 @@ def run_scale_benchmark(
         for chunk in generator.generate_chunks(chunk_size):
             for record in chunk:
                 demand = record.requested
-                vm = index.select_most_matched(demand, reference)
+                vm = cset.select_most_matched(demand, reference)
                 if vm is None:
                     rejected += 1
                     continue
                 amount = demand.as_array()
-                index.consume(vm, amount)
-                inflight.append((vm, amount))
+                cset.consume(vm, amount)
+                inflight.append((rows[vm.vm_id], amount))
                 placed += 1
                 if len(inflight) > 2 * n_vms:
-                    old_vm, old_amount = inflight.popleft()
-                    index.release(old_vm, old_amount)
+                    row, old_amount = inflight.popleft()
+                    np.minimum(
+                        matrix[row] + old_amount, capacity[row], out=matrix[row]
+                    )
         elapsed = time.perf_counter() - t0
         if track_memory:
             _, peak = tracemalloc.get_traced_memory()
@@ -545,7 +548,6 @@ def run_scale_benchmark(
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
         "python": platform.python_version(),
         "n_vms": n_vms,
-        "shards": shards,
         "chunk_size": chunk_size,
         "seed": seed,
         "track_memory": track_memory,

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from ..cluster.profiles import ClusterProfile
-from ..cluster.shards import ScaleConfig
 from ..cluster.simulator import SimulationConfig
 from ..cluster.slo import SloSpec
 from ..faults.plan import FaultPlan, build_fault_plan, build_revocation_storm
@@ -89,17 +88,6 @@ class Scenario:
     def with_fault_plan(self, plan: FaultPlan | None) -> "Scenario":
         """A copy of this scenario running under ``plan`` (or without)."""
         return replace(self, fault_plan=plan)
-
-    def with_scale(self, scale: "ScaleConfig | None") -> "Scenario":
-        """A copy of this scenario under ``scale`` (None = unchanged).
-
-        Folds the scale knobs into ``sim_config`` so they travel with
-        the scenario through the runner, worker pools and the service
-        daemon without any side channel.
-        """
-        if scale is None:
-            return self
-        return replace(self, sim_config=replace(self.sim_config, scale=scale))
 
     def evaluation_trace(self) -> Trace:
         """Generate, filter (short-lived only) and subsample the workload.

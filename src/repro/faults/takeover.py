@@ -98,9 +98,12 @@ def takeover_run(
     resume mid-outage fault-injector state (backoffs, revocations,
     downed VMs) to match.
     """
-    # Lazy: keeps repro.faults importable without the service layer.
+    # Lazy: keeps repro.faults importable without the service layer
+    # (and ``repro.api`` imports this module).
+    from ..api._run import check_seed
     from ..service.daemon import build_kernel
 
+    check_seed(seed)
     if scenario is None:
         from ..experiments.scenarios import cluster_scenario, ec2_scenario
 

@@ -1,12 +1,11 @@
 """From-scratch deep-learning substrate (paper Section III-A.1a).
 
 NumPy implementation of the paper's DNN: feed-forward evaluation
-(Eq. 5), back-propagation (Eq. 6-7), weight updates (Eq. 8), epoch
-training with validation convergence, and the autoencoder path.
+(Eq. 5), back-propagation (Eq. 6-7), weight updates (Eq. 8) and epoch
+training with validation convergence.
 """
 
 from .activations import LINEAR, RELU, SIGMOID, TANH, Activation, get_activation
-from .autoencoder import Autoencoder, pretrain_hidden_stack
 from .initializers import get_initializer, he_normal, small_uniform, xavier_uniform
 from .layers import DenseLayer
 from .losses import MAE, MSE, Loss, get_loss, pinball
@@ -23,8 +22,6 @@ __all__ = [
     "TANH",
     "Activation",
     "get_activation",
-    "Autoencoder",
-    "pretrain_hidden_stack",
     "get_initializer",
     "he_normal",
     "small_uniform",

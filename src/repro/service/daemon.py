@@ -38,6 +38,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AsyncIterator, Optional
 
+from ..cluster.shards import warn_scale_ignored
 from ..cluster.simulator import ClusterSimulator, SimulationResult
 from .kernel import SchedulerKernel
 
@@ -365,18 +366,22 @@ def open_service(
     """A ready-to-start :class:`SchedulerService` (async context manager).
 
     Pass a prebuilt ``scenario`` or the (``jobs``, ``testbed``,
-    ``seed``) triple; ``seed`` also seeds the scheduler factories (the
-    randomized baselines), so match it with the batch entry points when
-    comparing runs.  ``fault_plan=`` attaches a seeded fault schedule
-    the service replays while jobs stream in.  ``predictor=`` selects
-    the registered forecasting family (or instance) CORP runs on, and
-    ``scale=`` the hyperscale knobs (availability-index shards,
-    streaming chunk size).  The heavy lifting (offline predictor fit)
-    happens on
-    ``start``/``__aenter__``, through ``predictor_cache`` when given —
-    pass a store-backed cache to share fitted models across service
-    instances and processes.
+    ``seed``) triple; ``seed`` (a non-negative integer) also seeds the
+    scheduler factories (the randomized baselines), so match it with
+    the batch entry points when comparing runs.  ``fault_plan=``
+    attaches a seeded fault schedule the service replays while jobs
+    stream in.  ``predictor=`` selects the registered forecasting
+    family (or instance) CORP runs on; ``scale=`` is deprecated and
+    ignored (it warns).  The heavy lifting (offline predictor fit)
+    happens on ``start``/``__aenter__``, through ``predictor_cache``
+    when given — pass a store-backed cache to share fitted models
+    across service instances and processes.
     """
+    # Lazy: ``repro.api`` imports this module.
+    from ..api._run import check_seed
+
+    check_seed(seed)
+    warn_scale_ignored(scale)
     if scenario is None:
         from ..experiments.scenarios import cluster_scenario, ec2_scenario
 
@@ -390,7 +395,6 @@ def open_service(
         scenario = builder(jobs, seed=seed)
     if fault_plan is not None:
         scenario = scenario.with_fault_plan(fault_plan)
-    scenario = scenario.with_scale(scale)
     return SchedulerService(
         scenario=scenario,
         method=method,

@@ -170,9 +170,9 @@ class GoogleTraceGenerator:
     ) -> Iterator[list[TaskRecord]]:
         """Stream the trace as lists of at most ``chunk_size`` records.
 
-        The streaming shape the hyperscale drivers consume (the
-        ``--scale`` benchmark, ``ScaleConfig.chunk_size``): peak memory
-        is one chunk of records, not the whole workload.
+        The streaming shape the hyperscale driver consumes (the
+        ``--scale`` benchmark): peak memory is one chunk of records, not
+        the whole workload.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")

@@ -1,14 +1,12 @@
-"""Sharded availability index: exact equivalence with the flat path.
+"""The persistent availability index: exact equivalence with a rebuild.
 
-The contract under test is *bit-identity*: for any shard count
-(including more shards than VMs, which leaves some shards empty),
-:class:`ShardedCandidateIndex` must return the same Eq. 22 winner, the
-same random-feasible choice from the same rng stream position, and the
-same feasibility views as a single :class:`CandidateSet` over the same
-rows — and both must match the scalar reference loop the differential
-checker re-derives placements with.  Capacities and demands are drawn
-from a small grid on purpose so exact volume ties are common and the
-tie-break path is exercised, not just the strict minimum.
+After any sequence of placements, crashes, restores and revocations,
+:class:`ShardedCandidateIndex` (one ``CandidateSet``; the class name is
+historical) must return the same Eq. 22 winner and random-feasible
+choice, from the same rng stream position, as a fresh
+:class:`CandidateSet` over the online VMs and as the scalar reference
+loops.  Capacities and demands come from a small grid so exact volume
+ties are common and the tie-break path is exercised.
 """
 
 import numpy as np
@@ -17,14 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.resources import ResourceVector
-from repro.cluster.shards import (
-    INDEX_BACKENDS,
-    ScaleConfig,
-    ShardedCandidateIndex,
-)
+from repro.cluster.shards import ScaleConfig, ShardedCandidateIndex
 from repro.core.vm_selection import (
     CandidateSet,
+    min_feasible_volume,
     select_most_matched as scalar_select_most_matched,
+    select_random_feasible as scalar_select_random_feasible,
     tie_window,
 )
 
@@ -38,85 +34,90 @@ capacity_triples = st.tuples(*[st.sampled_from(_CAP_GRID)] * 3)
 demand_triples = st.tuples(*[st.sampled_from(_DEMAND_GRID)] * 3)
 
 
-def _build(caps, shards):
-    vms = [make_vm(capacity=c, vm_id=i) for i, c in enumerate(caps)]
-    matrix = np.array(caps, dtype=np.float64)
-    index = ShardedCandidateIndex(vms, matrix.copy(), shards=shards)
-    cset = CandidateSet(vms, matrix.copy())
-    reference = ResourceVector(matrix.max(axis=0))
-    return vms, index, cset, reference
+def _fresh_set(vms):
+    """The per-call rebuild the persistent index replaces."""
+    return CandidateSet.from_pairs([(v, v.unallocated()) for v in vms if v.online])
+
+
+def _assert_same_choices(pool, other, demand, reference, seed):
+    """``pool`` and ``other`` agree with each other and the scalar oracles."""
+    assert len(pool) == len(other)
+    assert list(pool) == list(other)
+    assert pool.feasible_count(demand) == other.feasible_count(demand)
+    pick = pool.select_most_matched(demand, reference)
+    assert pick is other.select_most_matched(demand, reference)
+    assert pick is scalar_select_most_matched(demand, list(other), reference)
+    assert min_feasible_volume(demand, list(pool), reference) == \
+        min_feasible_volume(demand, list(other), reference)
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    choice = pool.select_random_feasible(demand, rngs[0])
+    assert choice is other.select_random_feasible(demand, rngs[1])
+    assert choice is scalar_select_random_feasible(
+        demand, list(other), rngs[2]
+    )
+    # Same number of draws consumed: the streams stay aligned.
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+    return pick
 
 
 class TestScaleConfig:
-    def test_defaults(self):
-        cfg = ScaleConfig()
-        assert (cfg.shards, cfg.chunk_size, cfg.index_backend) == (
-            1, 4096, "dense",
-        )
-        assert cfg.index_backend in INDEX_BACKENDS
+    """The deprecated knob group still validates its fields."""
 
     @pytest.mark.parametrize("kwargs", [
         {"shards": 0},
         {"shards": -3},
         {"chunk_size": 0},
-        {"index_backend": "sparse"},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             ScaleConfig(**kwargs)
 
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            ScaleConfig().shards = 2
-
 
 class TestShardedEquivalence:
+    """``ShardedCandidateIndex`` (historical name) against a rebuild."""
+
     @settings(max_examples=60)
     @given(data=st.data())
     def test_matches_flat_set_and_scalar_oracle(self, data):
-        """Place/consume sequences: every view equals the flat path's."""
+        """Placing each Eq. 22 winner: the index equals a consumed flat set."""
         n = data.draw(st.integers(1, 8), label="n_vms")
-        shards = data.draw(st.integers(1, 12), label="shards")
-        caps = data.draw(
-            st.lists(capacity_triples, min_size=n, max_size=n), label="caps"
-        )
-        vms, index, cset, reference = _build(caps, shards)
-        seed = data.draw(st.integers(0, 2**16), label="seed")
-        for _ in range(data.draw(st.integers(1, 8), label="n_ops")):
-            demand = ResourceVector(data.draw(demand_triples, label="demand"))
-            assert index.feasible_count(demand) == cset.feasible_count(demand)
-            assert len(index) == len(cset)
-            pick = index.select_most_matched(demand, reference)
-            assert pick is cset.select_most_matched(demand, reference)
-            assert pick is scalar_select_most_matched(
-                demand, list(cset), reference
-            )
-            assert index.min_feasible_volume(demand, reference) == \
-                cset.min_feasible_volume(demand, reference)
-            rng_i = np.random.default_rng(seed)
-            rng_c = np.random.default_rng(seed)
-            assert index.select_random_feasible(demand, rng_i) is \
-                cset.select_random_feasible(demand, rng_c)
-            # Same number of draws consumed: the streams stay aligned.
-            assert rng_i.bit_generator.state == rng_c.bit_generator.state
-            if pick is not None:
-                index.consume(pick, demand.as_array())
-                cset.consume(pick, demand.as_array())
-        for vm in vms:
-            assert index.availability(vm) == cset.availability(vm)
-
-    @settings(max_examples=40)
-    @given(data=st.data())
-    def test_persistent_index_tracks_vm_state(self, data):
-        """refresh() after place/crash/restore/rescale equals a rebuild."""
-        n = data.draw(st.integers(1, 6), label="n_vms")
-        shards = data.draw(st.integers(1, 9), label="shards")
         caps = data.draw(
             st.lists(capacity_triples, min_size=n, max_size=n), label="caps"
         )
         vms = [make_vm(capacity=c, vm_id=i) for i, c in enumerate(caps)]
-        index = ShardedCandidateIndex.for_vms(vms, shards=shards)
-        assert index.refresh() <= shards
+        matrix = np.array(caps, dtype=np.float64)
+        flat = CandidateSet(vms, matrix)
+        reference = ResourceVector(matrix.max(axis=0))
+        index = ShardedCandidateIndex(vms)
+        index.refresh()
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        for task_id in range(data.draw(st.integers(1, 8), label="n_ops")):
+            demand = ResourceVector(data.draw(demand_triples, label="demand"))
+            pick = _assert_same_choices(index.cset, flat, demand, reference, seed)
+            if pick is not None:
+                job = running_job(
+                    request=tuple(demand.as_array()), task_id=task_id
+                )
+                place(pick, job)
+                flat.consume(pick, demand.as_array())
+            assert index.refresh() == (1 if pick is not None else 0)
+        for vm in vms:
+            assert index.cset.availability(vm) == flat.availability(vm)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_persistent_index_tracks_vm_state(self, data):
+        """refresh() after place/crash/restore/rescale equals a rebuild."""
+        n = data.draw(st.integers(1, 6), label="n_vms")
+        caps = data.draw(
+            st.lists(capacity_triples, min_size=n, max_size=n), label="caps"
+        )
+        vms = [make_vm(capacity=c, vm_id=i) for i, c in enumerate(caps)]
+        reference = ResourceVector(np.array(caps).max(axis=0))
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        index = ShardedCandidateIndex(vms)
+        assert index.refresh() == 1  # the first sync fills every row
         task_id = 0
         for _ in range(data.draw(st.integers(1, 10), label="n_ops")):
             op = data.draw(
@@ -141,42 +142,26 @@ class TestShardedEquivalence:
                     data.draw(st.sampled_from((0.25, 0.5, 1.0)), label="s")
                 )
             index.refresh()
-            live = [v for v in vms if v.online]
-            fresh = CandidateSet(
-                live,
-                np.array([v.unallocated_array() for v in live])
-                if live else np.zeros((0, 3)),
-            )
-            reference = ResourceVector(
-                np.array([c for c in caps]).max(axis=0)
-            )
+            assert index.refresh() == 0  # nothing moved since
+            pool = index.cset
             demand = ResourceVector(data.draw(demand_triples, label="demand"))
-            assert len(index) == len(live)
-            assert index.select_most_matched(demand, reference) is \
-                fresh.select_most_matched(demand, reference)
+            _assert_same_choices(pool, _fresh_set(vms), demand, reference, seed)
             for v in vms:
                 if v.online:
-                    assert index.availability(v) == ResourceVector(
+                    assert pool.availability(v) == ResourceVector(
                         v.unallocated_array()
                     )
                 else:
-                    assert index.availability(v) is None
+                    assert pool.availability(v) is None
 
     def test_second_refresh_touches_nothing_when_idle(self):
         vms = [make_vm(vm_id=i) for i in range(6)]
-        index = ShardedCandidateIndex.for_vms(vms, shards=3)
-        assert index.refresh() == 3  # first sync fills every shard
+        index = ShardedCandidateIndex(vms)
+        assert index.refresh() == 1  # first sync fills every row
         assert index.refresh() == 0  # nothing moved
         place(vms[0], running_job(request=(1, 1, 1)))
-        assert index.refresh() == 1  # only vm 0's shard resynced
-
-    def test_refresh_requires_tracking_index(self):
-        vms = [make_vm(vm_id=0)]
-        index = ShardedCandidateIndex(
-            vms, np.array([vms[0].unallocated_array()])
-        )
-        with pytest.raises(RuntimeError):
-            index.refresh()
+        assert index.refresh() == 1  # vm 0's row resynced
+        assert index.refresh() == 0
 
 
 class TestTieWindowScaleInvariance:
@@ -214,8 +199,9 @@ class TestTieWindowScaleInvariance:
         assert gap < tie_window(3 * magnitude)  # the relative one ties it
         cset = CandidateSet(vms, matrix.copy())
         assert cset.select_most_matched(demand, reference) is vms[0]
-        index = ShardedCandidateIndex(vms, matrix.copy(), shards=2)
-        assert index.select_most_matched(demand, reference) is vms[0]
+        index = ShardedCandidateIndex(vms)
+        index.refresh()
+        assert index.cset.select_most_matched(demand, reference) is vms[0]
         assert scalar_select_most_matched(
             demand, list(cset), reference
         ) is vms[0]

@@ -1,6 +1,9 @@
 """The repro.api facade (v1.2), LRU cache and event wiring."""
 
+import asyncio
+import inspect
 import json
+import warnings
 
 import pytest
 
@@ -349,44 +352,117 @@ class TestSinkHygiene:
         assert OBS.sink is None and not OBS.enabled
 
 
+def _summary_bytes(result) -> str:
+    """A run's summary as canonical JSON, wall-clock latency removed."""
+    summary = result.summary()
+    # Wall-clock is the one legitimately nondeterministic field.
+    summary.pop("allocation_latency_s")
+    return json.dumps(summary, sort_keys=True)
+
+
+def _serve(scenario, **kwargs):
+    async def go():
+        async with api.open_service(scenario=scenario, **kwargs) as svc:
+            await svc.submit_trace(scenario.evaluation_trace())
+            return await svc.drain()
+
+    return asyncio.run(go())
+
+
 class TestScaleConfigThreading:
-    """``scale=`` reaches the simulator and never changes the answer."""
+    """``scale=`` stays a validated, keyword-only argument this release."""
 
-    def test_sharded_run_matches_default(self, small_scenario):
-        base = api.run_one(scenario=small_scenario, method="RCCR")
-        sharded = api.run_one(
-            scenario=small_scenario,
-            method="RCCR",
-            scale=api.ScaleConfig(shards=3),
-        )
-        expect = base.summary()
-        got = sharded.summary()
-        # Wall-clock is the one legitimately nondeterministic field.
-        expect.pop("allocation_latency_s")
-        got.pop("allocation_latency_s")
-        assert got == expect
-
-    def test_sharded_placements_match_default(self, small_scenario):
-        streams = []
-        for scale in (None, api.ScaleConfig(shards=4)):
-            sink = MemorySink()
-            api.attach_sink(sink)
-            try:
-                api.run_one(
-                    scenario=small_scenario, method="RCCR", scale=scale
-                )
-            finally:
-                api.detach_sink()
-            streams.append([
-                (e.fields["slot"], e.fields["job"], e.fields["vm"])
-                for e in sink.named("placement")
-            ])
-            assert streams[-1], "run emitted no placement events"
-        assert streams[0] == streams[1]
-
-    def test_scale_is_keyword_only_and_validated(self, small_scenario):
+    def test_scale_is_keyword_only_and_validated(self):
         with pytest.raises(ValueError):
             api.ScaleConfig(shards=0)
-        scenario = small_scenario.with_scale(api.ScaleConfig(shards=2))
-        assert scenario.sim_config.scale.shards == 2
-        assert small_scenario.with_scale(None) is small_scenario
+        for entry in (api.run_one, api.compare, api.sweep, api.open_service):
+            param = inspect.signature(entry).parameters["scale"]
+            assert param.kind is inspect.Parameter.KEYWORD_ONLY, entry
+            assert param.default is None, entry
+
+
+#: entry point -> run RCCR on a scenario through it, forwarding ``scale``.
+_SCALE_ENTRY_POINTS = {
+    "run_one": lambda s, **kw: api.run_one(scenario=s, method="RCCR", **kw),
+    "compare": lambda s, **kw: api.compare(scenario=s, methods=("RCCR",), **kw)["RCCR"],
+    "sweep": lambda s, **kw: api.sweep(scenarios=[s], methods=("RCCR",), **kw)[0],
+    "open_service": lambda s, **kw: _serve(s, method="RCCR", **kw),
+}
+
+
+class TestScaleDeprecation:
+    """``ScaleConfig`` / ``scale=`` / ``--shards`` / ``--chunk-size``.
+
+    Deprecated for one release: each use warns exactly once and changes
+    nothing about the run.
+    """
+
+    def test_config_warns_and_validates(self):
+        with pytest.warns(DeprecationWarning, match="deprecated and ignored"):
+            api.ScaleConfig(shards=2)
+        with pytest.raises(ValueError, match="shards"):
+            api.ScaleConfig(shards=0)
+        with pytest.raises(ValueError, match="chunk_size"):
+            api.ScaleConfig(chunk_size=0)
+
+    @pytest.mark.parametrize("entry", sorted(_SCALE_ENTRY_POINTS))
+    def test_scale_kwarg_warns_once(self, entry, small_scenario):
+        run = _SCALE_ENTRY_POINTS[entry]
+        with pytest.warns(DeprecationWarning):
+            cfg = api.ScaleConfig(shards=3, chunk_size=64)
+        expect = _summary_bytes(run(small_scenario))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _summary_bytes(run(small_scenario, scale=cfg))
+        deprecations = [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ]
+        assert len(deprecations) == 1, [str(w.message) for w in caught]
+        assert "ignored" in str(deprecations[0].message)
+        assert got == expect
+
+    def test_cli_flags_note_once(self, capsys):
+        from repro.__main__ import main
+
+        def serve(*extra):
+            argv = ["serve", "--jobs", "8", "--seed", "3", "--method", "DRA"]
+            assert main(argv + list(extra)) == 0
+            captured = capsys.readouterr()
+            # Drop the wall-clock latency column of the summary table.
+            table = [line.rsplit(None, 1)[0] for line in
+                     captured.out.splitlines() if line.strip()]
+            return table, captured.err.splitlines()
+
+        expect, quiet = serve()
+        got, notes = serve("--shards", "2", "--chunk-size", "16")
+        assert quiet == []
+        assert len(notes) == 1 and "deprecated and ignored" in notes[0]
+        assert got == expect
+
+
+#: entry point -> call it with ``seed=-1`` (and the least else it needs).
+_SEED_ENTRY_POINTS = {
+    "build_scenario": lambda s: api.build_scenario(seed=-1),
+    "run_one": lambda s: api.run_one(scenario=s, method="DRA", seed=-1),
+    "compare": lambda s: api.compare(jobs=5, seed=-1),
+    "sweep": lambda s: api.sweep(scenarios=[s], seed=-1),
+    "open_service": lambda s: api.open_service(seed=-1),
+    "check_run": lambda s: api.check_run(jobs=5, seed=-1),
+    "takeover_run": lambda s: api.takeover_run(jobs=5, seed=-1),
+}
+
+
+class TestSeedValidation:
+    """A negative seed fails at the API boundary, naming ``seed``."""
+
+    @pytest.mark.parametrize("entry", sorted(_SEED_ENTRY_POINTS))
+    def test_negative_seed_rejected(self, entry, small_scenario):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            _SEED_ENTRY_POINTS[entry](small_scenario)
+
+    def test_cli_negative_seed_exits_2(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["compare", "--jobs", "5", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "seed" in err[0]
